@@ -41,16 +41,23 @@ let horizon ~floor ~n ~ratio =
   let d = float_of_int ratio *. Float.log (float_of_int n) in
   Stdlib.max floor (int_of_float (4.0 *. d *. d))
 
-(* Run [warmup] silent rounds, then sample max load each round for
-   [window] rounds.  [step] advances exactly one round. *)
-let sample ~warmup ~window ~step ~max_load ~threshold =
-  for _ = 1 to warmup do
-    step ()
-  done;
+(* From a balanced start on the sequential [kind] engine, run [warmup]
+   silent rounds, then sample max load each round for [window]
+   rounds. *)
+let sample kind ~d_choices ~n ~m ~seed ~warmup ~window ~threshold =
+  let engine =
+    Rbb_sim.Engine.core
+      ((Rbb_sim.Engine.entry kind Rbb_sim.Engine.Sequential).create
+         ~telemetry:Rbb_sim.Telemetry.noop ~tracer:Rbb_sim.Tracer.noop
+         ~d_choices
+         ~rng:(Rbb_prng.Rng.create ~seed:(Int64.of_int seed) ())
+         ~init:(Config.balanced ~n ~m))
+  in
+  Engine.run engine ~rounds:warmup;
   let sum = ref 0 and peak = ref 0 and legit = ref 0 in
   for _ = 1 to window do
-    step ();
-    let x = max_load () in
+    Engine.step engine;
+    let x = Engine.max_load engine in
     sum := !sum + x;
     if x > !peak then peak := x;
     if x <= threshold then incr legit
@@ -64,13 +71,9 @@ let counts_row ~quick ~n ~seed ratio =
   let floor = if quick then 2_000 else 50_000 in
   let warmup = horizon ~floor ~n ~ratio in
   let window = warmup in
-  let rng = Rbb_prng.Rng.create ~seed:(Int64.of_int seed) () in
-  let p = Counts_process.create ~rng ~init:(Config.balanced ~n ~m) () in
   let threshold = Config.legitimacy_threshold ~m n in
   let mean_max, peak_max, legit_fraction =
-    sample ~warmup ~window
-      ~step:(fun () -> Counts_process.run p ~rounds:1)
-      ~max_load:(fun () -> Counts_process.max_load p)
+    sample Rbb_sim.Engine.Counts ~d_choices:1 ~n ~m ~seed ~warmup ~window
       ~threshold
   in
   { ratio; m; warmup; window; mean_max; peak_max; threshold; legit_fraction }
@@ -83,15 +86,8 @@ let balls_mean ~quick ~n ~seed ~d_choices ratio =
   let warmup =
     if d_choices > 1 then floor else horizon ~floor ~n ~ratio
   in
-  let window = warmup in
-  let rng = Rbb_prng.Rng.create ~seed:(Int64.of_int seed) () in
-  let p =
-    Process.create ~d_choices ~rng ~init:(Config.balanced ~n ~m) ()
-  in
   let mean, _, _ =
-    sample ~warmup ~window
-      ~step:(fun () -> Process.run p ~rounds:1)
-      ~max_load:(fun () -> Process.max_load p)
+    sample Rbb_sim.Engine.Balls ~d_choices ~n ~m ~seed ~warmup ~window:warmup
       ~threshold:0
   in
   mean

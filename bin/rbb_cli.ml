@@ -372,110 +372,53 @@ let simulate n balls rounds seed init_name engine d shards domains report_every
   | Some s ->
       Printf.printf "resumed from %s at round %d\n"
         (Option.get resume_from) s.Rbb_sim.Checkpoint.round);
-  (* One driving loop for both engines: step, observe, and publish the
-     checkpoint on schedule (every K rounds, and always at the end). *)
-  let drive ~step ~max_load ~empty_bins ~capture =
-    let save () =
-      Option.iter
-        (fun path -> Rbb_sim.Checkpoint.save ~path (capture ()))
-        checkpoint_path
-    in
-    (* Per-round latency for the registry is timed here, around the
-       whole step, so every engine variant lands in the same
-       rbb_round_seconds histogram. *)
-    let step =
-      if Rbb_obs.Registry.enabled registry then fun () ->
-        let t0 = rprobe.Probe.now () in
-        step ();
-        rprobe.Probe.latency (Int64.sub (rprobe.Probe.now ()) t0)
-      else step
-    in
-    for r = start_round + 1 to rounds do
-      step ();
-      observe r ~max_load:(max_load ()) ~empty_bins:(empty_bins ());
-      if (checkpoint_every > 0 && r mod checkpoint_every = 0) || r = rounds
-      then save ()
-    done;
-    if rounds = start_round then save ();
-    Option.iter (Printf.printf "wrote checkpoint to %s\n") checkpoint_path
-  in
   (* Within each engine family the sequential and parallel variants
      share the randomness law, so the output below is identical
      whichever one runs; sharding only changes wall-clock time.
-     Telemetry and tracing come from inside the engines (probes), so no
+     Telemetry and tracing come from inside the engines, so no
      trajectory depends on them.  Failpoints only guard the per-ball
      sharded engine's phases, so arming one forces it. *)
-  if counts && (shards > 1 || domains > 1) then begin
-    let p =
-      match snap with
-      | Some s -> Rbb_sim.Checkpoint.to_sharded_counts ~telemetry:tel ~tracer ~domains s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Rbb_sim.Sharded_counts.create ~telemetry:tel ~tracer ~domains ~rng
-            ~init ()
-    in
-    drive
-      ~step:(fun () -> Rbb_sim.Sharded_counts.step p)
-      ~max_load:(fun () -> Rbb_sim.Sharded_counts.max_load p)
-      ~empty_bins:(fun () -> Rbb_sim.Sharded_counts.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_sharded_counts p)
-  end
-  else if counts then begin
-    let p =
-      match snap with
-      | Some s -> Rbb_sim.Checkpoint.to_counts s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Counts_process.create ~rng ~init ()
-    in
-    let probe =
-      Probe.compose (Rbb_sim.Telemetry.probe tel) (Rbb_sim.Tracer.probe tracer)
-    in
-    drive
-      ~step:(fun () -> Counts_process.run ~probe p ~rounds:1)
-      ~max_load:(fun () -> Counts_process.max_load p)
-      ~empty_bins:(fun () -> Counts_process.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_counts ~telemetry:tel p)
-  end
-  else if shards > 1 || domains > 1 || Rbb_sim.Failpoint.enabled failpoints
-  then begin
-    let p =
-      match snap with
-      | Some s ->
-          Rbb_sim.Checkpoint.to_sharded ~telemetry:tel ~tracer ~failpoints
-            ~supervisor ~shards ~domains s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Rbb_sim.Sharded.create ~telemetry:tel ~tracer ~failpoints ~supervisor
-            ~d_choices:d ~shards ~domains ~rng ~init ()
-    in
-    drive
-      ~step:(fun () -> Rbb_sim.Sharded.step p)
-      ~max_load:(fun () -> Rbb_sim.Sharded.max_load p)
-      ~empty_bins:(fun () -> Rbb_sim.Sharded.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_sharded p)
-  end
-  else begin
-    let p =
-      match snap with
-      | Some s -> Rbb_sim.Checkpoint.to_process s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Process.create ~d_choices:d ~rng ~init ()
-    in
-    let probe =
-      Probe.compose (Rbb_sim.Telemetry.probe tel) (Rbb_sim.Tracer.probe tracer)
-    in
-    drive
-      ~step:(fun () -> Process.run ~probe p ~rounds:1)
-      ~max_load:(fun () -> Process.max_load p)
-      ~empty_bins:(fun () -> Process.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_process ~telemetry:tel p)
-  end;
+  let entry =
+    Rbb_sim.Engine.entry
+      (if counts then Rbb_sim.Engine.Counts else Rbb_sim.Engine.Balls)
+      (Rbb_sim.Engine.variant ~shards ~domains ~failpoints ~supervisor)
+  in
+  let engine =
+    match snap with
+    | Some s -> entry.restore ~telemetry:tel ~tracer s
+    | None ->
+        let rng = rng_of_seed seed in
+        let init = make_init init_name rng ~n ~m in
+        entry.create ~telemetry:tel ~tracer ~d_choices:d ~rng ~init
+  in
+  let core = Rbb_sim.Engine.core engine in
+  (* One driving loop for every engine: step, observe, and publish the
+     checkpoint on schedule (every K rounds, and always at the end). *)
+  let save () =
+    Option.iter
+      (fun path -> Rbb_sim.Checkpoint.save ~path (Rbb_sim.Engine.capture engine))
+      checkpoint_path
+  in
+  (* Per-round latency for the registry is timed here, around the whole
+     step, so every engine variant lands in the same rbb_round_seconds
+     histogram. *)
+  let step () =
+    if Rbb_obs.Registry.enabled registry then begin
+      let t0 = rprobe.Probe.now () in
+      Engine.step core;
+      rprobe.Probe.latency (Int64.sub (rprobe.Probe.now ()) t0)
+    end
+    else Engine.step core
+  in
+  for r = start_round + 1 to rounds do
+    step ();
+    observe r ~max_load:(Engine.max_load core)
+      ~empty_bins:(Engine.empty_bins core);
+    if (checkpoint_every > 0 && r mod checkpoint_every = 0) || r = rounds then
+      save ()
+  done;
+  if rounds = start_round then save ();
+  Option.iter (Printf.printf "wrote checkpoint to %s\n") checkpoint_path;
   (* The m = n rendering (no " m=" token, "(4 ln n)" label) is pinned
      by cram tests; m only surfaces when it differs. *)
   Printf.printf
@@ -767,18 +710,21 @@ let recover n balls seed action_name target shift episodes max_recovery beta
   (* Balanced start: identical to "uniform" at m = n, and the natural
      legitimate baseline for any other ball count. *)
   let init = Config.balanced ~n ~m:balls in
-  (* The measurement is engine-generic; both drivers produce identical
-     episode series from the same creation rng state, so the engine
-     choice mirrors `simulate`'s: parallel only when asked for. *)
+  (* The measurement is engine-generic; both balls variants produce
+     identical episode series from the same creation rng state, so the
+     engine choice mirrors `simulate`'s: parallel only when asked for. *)
+  let variant =
+    Rbb_sim.Engine.variant ~shards ~domains ~failpoints:Rbb_sim.Failpoint.noop
+      ~supervisor:Rbb_sim.Supervisor.noop
+  in
+  let engine =
+    (Rbb_sim.Engine.entry Rbb_sim.Engine.Balls variant).create
+      ~telemetry:Rbb_sim.Telemetry.noop ~tracer:Rbb_sim.Tracer.noop ~d_choices:1
+      ~rng ~init
+  in
   let r =
-    if shards > 1 || domains > 1 then
-      Rbb_sim.Recovery.measure ~beta ~driver:Rbb_sim.Sharded.adversary_driver
-        ~action ~episodes ~max_recovery
-        (Rbb_sim.Sharded.create ~shards ~domains ~rng ~init ())
-    else
-      Rbb_sim.Recovery.measure ~beta ~driver:Adversary.process_driver ~action
-        ~episodes ~max_recovery
-        (Process.create ~rng ~init ())
+    Rbb_sim.Recovery.measure ~beta ~action ~episodes ~max_recovery
+      (Rbb_sim.Engine.core engine)
   in
   Printf.printf
     "recovery after transient faults (Theorem 1 says O(n) w.h.p.)\n\

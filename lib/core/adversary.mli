@@ -28,36 +28,14 @@ val perturb : action -> Rbb_prng.Rng.t -> Config.t -> Config.t
 (** [perturb a rng q] is the configuration the adversary leaves behind.
     Ball and bin counts are preserved. *)
 
-type 'a driver = {
-  step : 'a -> unit;
-  config : 'a -> Config.t;
-  set_config : 'a -> Config.t -> unit;
-  rng : 'a -> Rbb_prng.Rng.t;
-  n : 'a -> int;
-  max_load : 'a -> int;
-  empty_bins : 'a -> int;
-}
-(** The operations the adversary needs from an engine it perturbs.
-    Packaging them as a first-class record lets engines this library
-    cannot depend on (the domain-parallel [Rbb_sim.Sharded]) run under
-    the exact same fault loop as {!Process}: with the same creation rng
-    state the perturbations draw the same randomness, so faulty
-    trajectories stay bit-identical across engines. *)
-
-val process_driver : Process.t driver
-(** The sequential engine's driver. *)
-
 val run_with_faults_driver :
-  'a driver ->
-  schedule:schedule ->
-  action:action ->
-  rounds:int ->
-  'a ->
-  Metrics.t
+  schedule:schedule -> action:action -> rounds:int -> Engine.t -> Metrics.t
 (** Drives any engine for [rounds] rounds, applying the fault before
     each scheduled round, and records per-round metrics.  Faulty-round
     configurations are included in the recorded series, so recovery
-    spikes are visible. *)
+    spikes are visible.  With the same creation rng state the
+    perturbations draw the same randomness on every engine, so faulty
+    trajectories are engine-independent. *)
 
 val run_with_faults :
   schedule:schedule ->
@@ -65,4 +43,4 @@ val run_with_faults :
   rounds:int ->
   Process.t ->
   Metrics.t
-(** [run_with_faults_driver process_driver]. *)
+(** {!run_with_faults_driver} on the sequential engine. *)

@@ -169,12 +169,16 @@ let settle_block ~loads ~arrivals ~capacity ~lo ~hi =
   done;
   (!max_l, !empty, !out)
 
-let step t =
+(* One round, instrumented behind a single [Probe.live] test as in
+   Process.step_with. *)
+let step_with (probe : Probe.t) t =
+  let live = Probe.live probe in
   let bins = Array.length t.loads in
   let blocks = Process.shard_count ~bins in
   if not t.block_out_valid then scan_block_out t;
   Array.fill t.block_in 0 blocks 0;
   let engine = Rbb_prng.Rng.engine t.rng in
+  let t0 = if live then probe.now () else 0L in
   for b = 0 to blocks - 1 do
     let count = t.block_out.(b) in
     if count > 0 then begin
@@ -185,43 +189,7 @@ let step t =
         ~into:t.block_in
     end
   done;
-  let max_l = ref 0 and empty = ref 0 in
-  for b = 0 to blocks - 1 do
-    place_block ~pool:t.pool ~engine ~master:t.master ~round:t.round ~bins
-      ~arrivals:t.arrivals ~block:b ~count:t.block_in.(b);
-    let lo, hi = Process.shard_bounds ~bins ~shard:b in
-    let ml, e, out =
-      settle_block ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity
-        ~lo ~hi
-    in
-    t.block_out.(b) <- out;
-    if ml > !max_l then max_l := ml;
-    empty := !empty + e
-  done;
-  t.max_load <- !max_l;
-  t.empty <- !empty;
-  t.round <- t.round + 1
-
-(* [step] with per-phase probe timing and tracing; see Process.step_timed
-   for the pattern. *)
-let step_timed t ~(probe : Probe.t) =
-  let bins = Array.length t.loads in
-  let blocks = Process.shard_count ~bins in
-  if not t.block_out_valid then scan_block_out t;
-  Array.fill t.block_in 0 blocks 0;
-  let engine = Rbb_prng.Rng.engine t.rng in
-  let t0 = probe.now () in
-  for b = 0 to blocks - 1 do
-    let count = t.block_out.(b) in
-    if count > 0 then begin
-      Rbb_prng.Multinomial.reset t.pool
-        (Rbb_prng.Stream.for_shard ~engine ~master:t.master ~round:t.round
-           ~shard:b ());
-      Rbb_prng.Multinomial.split_blocks t.pool ~count ~bins ~block_bits
-        ~into:t.block_in
-    end
-  done;
-  let t1 = probe.now () in
+  let t1 = if live then probe.now () else 0L in
   let max_l = ref 0 and empty = ref 0 in
   for b = 0 to blocks - 1 do
     place_block ~pool:t.pool ~engine ~master:t.master ~round:t.round ~bins
@@ -238,58 +206,36 @@ let step_timed t ~(probe : Probe.t) =
   t.max_load <- !max_l;
   t.empty <- !empty;
   t.round <- t.round + 1;
-  let t2 = probe.now () in
-  probe.timer_add "counts.release" (Int64.sub t1 t0);
-  probe.timer_add "counts.place" (Int64.sub t2 t1);
-  probe.latency (Int64.sub t2 t0);
-  probe.add "counts.rounds" 1;
-  probe.add "counts.release.blocks" blocks;
-  if probe.tracing then begin
-    probe.on_span ~name:"counts.release" ~worker:0 ~round:t.round ~t0 ~t1;
-    probe.on_span ~name:"counts.place" ~worker:0 ~round:t.round ~t0:t1 ~t1:t2;
-    probe.on_round ~round:t.round ~max_load:!max_l ~empty_bins:!empty ~balls:t.m
+  if live then begin
+    let t2 = probe.now () in
+    probe.timer_add "counts.release" (Int64.sub t1 t0);
+    probe.timer_add "counts.place" (Int64.sub t2 t1);
+    probe.latency (Int64.sub t2 t0);
+    probe.add "counts.rounds" 1;
+    probe.add "counts.release.blocks" blocks;
+    if probe.tracing then begin
+      probe.on_span ~name:"counts.release" ~worker:0 ~round:t.round ~t0 ~t1;
+      probe.on_span ~name:"counts.place" ~worker:0 ~round:t.round ~t0:t1 ~t1:t2;
+      probe.on_round ~round:t.round ~max_load:!max_l ~empty_bins:!empty ~balls:t.m
+    end
   end
+
+let step t = step_with Probe.noop t
 
 let run ?(probe = Probe.noop) t ~rounds =
   if rounds < 0 then invalid_arg "Counts_process.run: rounds < 0";
-  if Probe.live probe then begin
-    let t0 = probe.Probe.now () in
-    for _ = 1 to rounds do
-      step_timed t ~probe
-    done;
-    probe.Probe.timer_add "counts.run" (Int64.sub (probe.Probe.now ()) t0)
-  end
-  else
-    for _ = 1 to rounds do
-      step t
-    done
+  Probe.timed probe "counts.run" (fun () ->
+      for _ = 1 to rounds do
+        step_with probe t
+      done)
 
-let run_until ?(probe = Probe.noop) t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Counts_process.run_until: max_rounds < 0";
-  let step t = if Probe.live probe then step_timed t ~probe else step t in
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
+let run_until_legitimate ?(probe = Probe.noop) ?beta t ~max_rounds =
+  let module E = struct
+    type nonrec t = t
 
-let run_until_legitimate ?probe ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until ?probe t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
-
-let adversary_driver =
-  {
-    Adversary.step;
-    config;
-    set_config;
-    rng;
-    n;
-    max_load;
-    empty_bins;
-  }
+    let n = n and balls = balls and round = round and config = config
+    let set_config = set_config and rng = rng
+    let max_load = max_load and empty_bins = empty_bins
+    let step = step_with probe
+  end in
+  Engine.run_until_legitimate ?beta (Engine.T ((module E), t)) ~max_rounds

@@ -63,13 +63,9 @@ val run : ?probe:Probe.t -> t -> rounds:int -> unit
     observable per round.  The probe never affects the trajectory.
     @raise Invalid_argument if [rounds < 0]. *)
 
-val run_until :
-  ?probe:Probe.t -> t -> max_rounds:int -> stop:(t -> bool) -> int option
-(** As {!Process.run_until}. *)
-
 val run_until_legitimate :
   ?probe:Probe.t -> ?beta:float -> t -> max_rounds:int -> int option
-(** Rounds until the configuration becomes legitimate. *)
+(** As {!Process.run_until_legitimate}. *)
 
 val round : t -> int
 val n : t -> int
@@ -94,9 +90,6 @@ val set_config : t -> Config.t -> unit
 (** The adversary's move; see {!Process.set_config}. *)
 
 val rng : t -> Rbb_prng.Rng.t
-
-val adversary_driver : t Adversary.driver
-(** Drive this engine under {!Adversary.run_with_faults_driver}. *)
 
 (** {2 Block kernels}
 

@@ -52,3 +52,11 @@ let compose a b =
           a.on_span ~name ~worker ~round ~t0 ~t1;
           b.on_span ~name ~worker ~round ~t0 ~t1);
     }
+
+let timed p name f =
+  if live p then begin
+    let t0 = p.now () in
+    f ();
+    p.timer_add name (Int64.sub (p.now ()) t0)
+  end
+  else f ()

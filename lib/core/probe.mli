@@ -53,3 +53,7 @@ val compose : t -> t -> t
     [compose noop noop == noop]).  [now] is taken from [a] when [a] is
     live, else from [b] — sinks that need exact clock control should not
     be composed with a live second sink using a different clock. *)
+
+val timed : t -> string -> (unit -> unit) -> unit
+(** [timed p name f] runs [f], adding its duration to timer [name] when
+    [p] is {!live} (two [now] reads); otherwise it just runs [f]. *)

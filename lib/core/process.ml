@@ -171,13 +171,19 @@ let step_settle_into ~src ~dst ~arrivals ~capacity ~lo ~hi =
 let step_settle ~loads ~arrivals ~capacity ~lo ~hi =
   step_settle_into ~src:loads ~dst:loads ~arrivals ~capacity ~lo ~hi
 
-let step t =
+(* One round.  Whether to instrument is decided once per round, by a
+   single [Probe.live] test; the per-ball launch loop is the same either
+   way, and a live probe never affects the trajectory. *)
+let step_with (probe : Probe.t) t =
+  let live = Probe.live probe in
   let bins = Array.length t.loads in
   Array.fill t.arrivals 0 bins 0;
+  let t0 = if live then probe.now () else 0L in
   (* Phase 1: each non-empty bin launches up to [capacity] balls, one
      derived stream per randomness shard. *)
   let engine = Rbb_prng.Rng.engine t.rng in
-  for s = 0 to shard_count ~bins - 1 do
+  let blocks = shard_count ~bins in
+  for s = 0 to blocks - 1 do
     let lo, hi = shard_bounds ~bins ~shard:s in
     let rng =
       Rbb_prng.Stream.for_shard ~engine ~master:t.master ~round:t.round ~shard:s ()
@@ -185,6 +191,7 @@ let step t =
     step_launch ~rng ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity
       ~d:t.d ?alias:t.weights ~lo ~hi ()
   done;
+  let t1 = if live then probe.now () else 0L in
   (* Phase 2: apply departures and arrivals; refresh the incremental
      max-load and empty-bin counters in the same pass. *)
   let max_l, empty =
@@ -193,75 +200,37 @@ let step t =
   in
   t.max_load <- max_l;
   t.empty <- empty;
-  t.round <- t.round + 1
-
-(* [step] with per-phase probe timing and tracing.  Kept separate from
-   [step] so the uninstrumented path stays exactly the hot loop it was;
-   [run] picks this variant only when the probe is live. *)
-let step_timed t ~(probe : Probe.t) =
-  let bins = Array.length t.loads in
-  Array.fill t.arrivals 0 bins 0;
-  let t0 = probe.now () in
-  let engine = Rbb_prng.Rng.engine t.rng in
-  let blocks = ref 0 in
-  for s = 0 to shard_count ~bins - 1 do
-    let lo, hi = shard_bounds ~bins ~shard:s in
-    let rng =
-      Rbb_prng.Stream.for_shard ~engine ~master:t.master ~round:t.round ~shard:s ()
-    in
-    step_launch ~rng ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity
-      ~d:t.d ?alias:t.weights ~lo ~hi ();
-    incr blocks
-  done;
-  let t1 = probe.now () in
-  let max_l, empty =
-    step_settle ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity ~lo:0
-      ~hi:bins
-  in
-  t.max_load <- max_l;
-  t.empty <- empty;
   t.round <- t.round + 1;
-  let t2 = probe.now () in
-  probe.timer_add "process.launch" (Int64.sub t1 t0);
-  probe.timer_add "process.settle" (Int64.sub t2 t1);
-  probe.latency (Int64.sub t2 t0);
-  probe.add "process.rounds" 1;
-  probe.add "process.launch.blocks" !blocks;
-  if probe.tracing then begin
-    probe.on_span ~name:"process.launch" ~worker:0 ~round:t.round ~t0 ~t1;
-    probe.on_span ~name:"process.settle" ~worker:0 ~round:t.round ~t0:t1 ~t1:t2;
-    probe.on_round ~round:t.round ~max_load:max_l ~empty_bins:empty ~balls:t.m
+  if live then begin
+    let t2 = probe.now () in
+    probe.timer_add "process.launch" (Int64.sub t1 t0);
+    probe.timer_add "process.settle" (Int64.sub t2 t1);
+    probe.latency (Int64.sub t2 t0);
+    probe.add "process.rounds" 1;
+    probe.add "process.launch.blocks" blocks;
+    if probe.tracing then begin
+      probe.on_span ~name:"process.launch" ~worker:0 ~round:t.round ~t0 ~t1;
+      probe.on_span ~name:"process.settle" ~worker:0 ~round:t.round ~t0:t1 ~t1:t2;
+      probe.on_round ~round:t.round ~max_load:max_l ~empty_bins:empty ~balls:t.m
+    end
   end
+
+let step t = step_with Probe.noop t
 
 let run ?(probe = Probe.noop) t ~rounds =
   if rounds < 0 then invalid_arg "Process.run: rounds < 0";
-  if Probe.live probe then begin
-    let t0 = probe.Probe.now () in
-    for _ = 1 to rounds do
-      step_timed t ~probe
-    done;
-    probe.Probe.timer_add "process.run" (Int64.sub (probe.Probe.now ()) t0)
-  end
-  else
-    for _ = 1 to rounds do
-      step t
-    done
+  Probe.timed probe "process.run" (fun () ->
+      for _ = 1 to rounds do
+        step_with probe t
+      done)
 
-let run_until ?(probe = Probe.noop) t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Process.run_until: max_rounds < 0";
-  let step t = if Probe.live probe then step_timed t ~probe else step t in
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
+let run_until_legitimate ?(probe = Probe.noop) ?beta t ~max_rounds =
+  let module E = struct
+    type nonrec t = t
 
-let run_until_legitimate ?probe ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until ?probe t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
+    let n = n and balls = balls and round = round and config = config
+    let set_config = set_config and rng = rng
+    let max_load = max_load and empty_bins = empty_bins
+    let step = step_with probe
+  end in
+  Engine.run_until_legitimate ?beta (Engine.T ((module E), t)) ~max_rounds

@@ -271,7 +271,11 @@ let run ?(on_progress = fun ~round:_ -> ())
   | Error e -> invalid_arg ("Job.run: " ^ e));
   let ckpt = checkpoint_path ~state_dir ~id in
   let tel = Telemetry.create () in
-  let probe = Telemetry.probe tel in
+  let kind =
+    match spec.engine with
+    | Protocol.Balls -> Checkpoint.Balls
+    | Protocol.Counts -> Checkpoint.Counts
+  in
   (* The quarantine-and-fall-back chain: a checkpoint that fails to
      load (CRC mismatch, truncation, schema damage) or belongs to the
      wrong engine family is moved to quarantine/ and the job restarts
@@ -292,14 +296,7 @@ let run ?(on_progress = fun ~round:_ -> ())
     if Sys.file_exists ckpt then
       match Checkpoint.load ~path:ckpt () with
       | Ok snap ->
-          let kind_matches =
-            match (snap.Checkpoint.kind, spec.engine) with
-            | Checkpoint.Balls, Protocol.Balls
-            | Checkpoint.Counts, Protocol.Counts ->
-                true
-            | _ -> false
-          in
-          if kind_matches then begin
+          if snap.Checkpoint.kind = kind then begin
             Checkpoint.restore_counters tel snap;
             Some snap
           end
@@ -321,50 +318,33 @@ let run ?(on_progress = fun ~round:_ -> ())
     (rng, init)
   in
   (* One driving loop for both engine families, mirroring the CLI's. *)
-  let start_round, step, config, capture =
-    match spec.engine with
-    | Protocol.Balls ->
-        let p =
-          match snap with
-          | Some s -> Checkpoint.to_process s
-          | None ->
-              let rng, init = fresh () in
-              Process.create ~rng ~init ()
-        in
-        ( Process.round p,
-          (fun () -> Process.run ~probe p ~rounds:1),
-          (fun () -> Process.config p),
-          fun () -> Checkpoint.capture_process ~telemetry:tel p )
-    | Protocol.Counts ->
-        let p =
-          match snap with
-          | Some s -> Checkpoint.to_counts s
-          | None ->
-              let rng, init = fresh () in
-              Counts_process.create ~rng ~init ()
-        in
-        ( Counts_process.round p,
-          (fun () -> Counts_process.run ~probe p ~rounds:1),
-          (fun () -> Counts_process.config p),
-          fun () -> Checkpoint.capture_counts ~telemetry:tel p )
+  let entry = Rbb_sim.Engine.entry kind Rbb_sim.Engine.Sequential in
+  let tracer = Rbb_sim.Tracer.noop in
+  let engine =
+    match snap with
+    | Some s -> entry.restore ~telemetry:tel ~tracer s
+    | None ->
+        let rng, init = fresh () in
+        entry.create ~telemetry:tel ~tracer ~d_choices:1 ~rng ~init
   in
-  for r = start_round + 1 to spec.rounds do
+  let core = Rbb_sim.Engine.core engine in
+  for r = Engine.round core + 1 to spec.rounds do
     (match should_stop () with
     | Some reason -> raise (Canceled { id; round = r - 1; reason })
     | None -> ());
-    step ();
+    Engine.step core;
     if r mod checkpoint_every = 0 && r < spec.rounds then begin
       (* A failed checkpoint save (disk full, injected I/O fault) is
          degradation, not death: the previous snapshot is still whole
          on disk — atomic publication — so the job keeps computing and
          merely risks more recomputation after a crash. *)
-      match Checkpoint.save ~path:ckpt (capture ()) with
+      match Checkpoint.save ~path:ckpt (Rbb_sim.Engine.capture engine) with
       | () -> on_progress ~round:r
       | exception e -> on_save_error ~round:r ~error:(Printexc.to_string e)
     end
   done;
   let fields =
-    result_fields ~id ~spec ~round:spec.rounds ~config:(config ())
+    result_fields ~id ~spec ~round:spec.rounds ~config:(Engine.config core)
       ~telemetry:tel
   in
   (* The result is the one artifact that must land: retry transient

@@ -38,92 +38,41 @@ type snapshot = {
   counters : (string * int) list;
 }
 
+let capture (type a) (module E : Rbb_core.Engine.S with type t = a) ~kind ~master
+    ~d_choices ~capacity ~telemetry (e : a) =
+  {
+    round = E.round e;
+    config = E.config e;
+    rng = Rbb_prng.Rng.snapshot (E.rng e);
+    master;
+    kind;
+    d_choices;
+    capacity;
+    counters = Telemetry.counters telemetry;
+  }
+
 let capture_process ?(telemetry = Telemetry.noop) p =
   if Process.weighted p then
     invalid_arg "Checkpoint.capture_process: weighted processes cannot be checkpointed";
-  {
-    round = Process.round p;
-    config = Process.config p;
-    rng = Rbb_prng.Rng.snapshot (Process.rng p);
-    master = Process.master p;
-    kind = Balls;
-    d_choices = Process.d_choices p;
-    capacity = Process.capacity p;
-    counters = Telemetry.counters telemetry;
-  }
+  capture (module Process) p ~kind:Balls ~master:(Process.master p)
+    ~d_choices:(Process.d_choices p) ~capacity:(Process.capacity p) ~telemetry
 
 let capture_sharded s =
   if Sharded.weighted s then
     invalid_arg "Checkpoint.capture_sharded: weighted engines cannot be checkpointed";
-  {
-    round = Sharded.round s;
-    config = Sharded.config s;
-    rng = Rbb_prng.Rng.snapshot (Sharded.rng s);
-    master = Sharded.master s;
-    kind = Balls;
-    d_choices = Sharded.d_choices s;
-    capacity = Sharded.capacity s;
-    counters = Telemetry.counters (Sharded.telemetry s);
-  }
+  capture (module Sharded) s ~kind:Balls ~master:(Sharded.master s)
+    ~d_choices:(Sharded.d_choices s) ~capacity:(Sharded.capacity s)
+    ~telemetry:(Sharded.telemetry s)
 
 let capture_counts ?(telemetry = Telemetry.noop) c =
-  {
-    round = Counts_process.round c;
-    config = Counts_process.config c;
-    rng = Rbb_prng.Rng.snapshot (Counts_process.rng c);
-    master = Counts_process.master c;
-    kind = Counts;
-    d_choices = 1;
-    capacity = Counts_process.capacity c;
-    counters = Telemetry.counters telemetry;
-  }
+  capture (module Counts_process) c ~kind:Counts ~master:(Counts_process.master c)
+    ~d_choices:1 ~capacity:(Counts_process.capacity c) ~telemetry
 
 let capture_sharded_counts s =
-  {
-    round = Sharded_counts.round s;
-    config = Sharded_counts.config s;
-    rng = Rbb_prng.Rng.snapshot (Sharded_counts.rng s);
-    master = Sharded_counts.master s;
-    kind = Counts;
-    d_choices = 1;
-    capacity = Sharded_counts.capacity s;
-    counters = Telemetry.counters (Sharded_counts.telemetry s);
-  }
-
-(* Cross-kind restores are rejected rather than coerced: the two
-   engine families consume randomness under different laws, so resuming
-   a balls trajectory on the counts engine (or vice versa) would
-   silently change the realized trajectory while looking like an exact
-   resume. *)
-let to_process snap =
-  if snap.kind <> Balls then
-    invalid_arg "Checkpoint.to_process: checkpoint is from the counts engine";
-  Process.restore ~d_choices:snap.d_choices ~capacity:snap.capacity
-    ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
-    ~master:snap.master ~round:snap.round ~init:snap.config ()
-
-let to_sharded ?telemetry ?tracer ?failpoints ?supervisor ?shards ?domains snap
-    =
-  if snap.kind <> Balls then
-    invalid_arg "Checkpoint.to_sharded: checkpoint is from the counts engine";
-  Sharded.restore ?telemetry ?tracer ?failpoints ?supervisor ?shards ?domains
-    ~d_choices:snap.d_choices ~capacity:snap.capacity
-    ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
-    ~master:snap.master ~round:snap.round ~init:snap.config ()
-
-let to_counts snap =
-  if snap.kind <> Counts then
-    invalid_arg "Checkpoint.to_counts: checkpoint is from the per-ball engine";
-  Counts_process.restore ~capacity:snap.capacity
-    ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
-    ~master:snap.master ~round:snap.round ~init:snap.config ()
-
-let to_sharded_counts ?telemetry ?tracer ?domains snap =
-  if snap.kind <> Counts then
-    invalid_arg "Checkpoint.to_sharded_counts: checkpoint is from the per-ball engine";
-  Sharded_counts.restore ?telemetry ?tracer ?domains ~capacity:snap.capacity
-    ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
-    ~master:snap.master ~round:snap.round ~init:snap.config ()
+  capture (module Sharded_counts) s ~kind:Counts
+    ~master:(Sharded_counts.master s) ~d_choices:1
+    ~capacity:(Sharded_counts.capacity s)
+    ~telemetry:(Sharded_counts.telemetry s)
 
 let restore_counters telemetry snap =
   List.iter (fun (name, v) -> Telemetry.add telemetry name v) snap.counters

@@ -17,7 +17,8 @@
     for a fixed state.  Int64 values travel as hex strings (OCaml's
     int is 63-bit).  Files are published atomically ({!Fileio}: unique
     temp, fsync, rename), and a record-count trailer rejects truncation
-    arriving through other channels.
+    arriving through other channels.  Engines are rebuilt from a
+    snapshot through the engine table ({!Engine.entry}).
 
     Deliberately {e not} captured: wall-clock telemetry (timers,
     latency histograms — meaningless across a crash), tracer sink
@@ -79,42 +80,6 @@ val load :
     them in cram tests.  A trailer-less file from before the CRC-32
     era still loads, and [on_warning] (default: ignore) is told its
     content went unverified. *)
-
-val to_process : snapshot -> Rbb_core.Process.t
-(** Rebuild the sequential engine, consuming no randomness
-    ({!Rbb_core.Process.restore}).
-    @raise Invalid_argument if [kind = Counts]: the engine families
-    consume randomness under different laws, so a cross-kind resume
-    would silently change the trajectory while looking exact. *)
-
-val to_sharded :
-  ?telemetry:Telemetry.t ->
-  ?tracer:Tracer.t ->
-  ?failpoints:Failpoint.t ->
-  ?supervisor:Supervisor.t ->
-  ?shards:int ->
-  ?domains:int ->
-  snapshot ->
-  Sharded.t
-(** Rebuild the sharded engine ({!Sharded.restore}).  [shards] and
-    [domains] may differ from the checkpointing run's — they never
-    affect results.
-    @raise Invalid_argument if [kind = Counts]. *)
-
-val to_counts : snapshot -> Rbb_core.Counts_process.t
-(** Rebuild the sequential counts engine
-    ({!Rbb_core.Counts_process.restore}).
-    @raise Invalid_argument if [kind = Balls]. *)
-
-val to_sharded_counts :
-  ?telemetry:Telemetry.t ->
-  ?tracer:Tracer.t ->
-  ?domains:int ->
-  snapshot ->
-  Sharded_counts.t
-(** Rebuild the parallel counts engine ({!Sharded_counts.restore});
-    [domains] may differ from the checkpointing run's.
-    @raise Invalid_argument if [kind = Balls]. *)
 
 val restore_counters : Telemetry.t -> snapshot -> unit
 (** Seed a (fresh) telemetry sink with the checkpointed counters, so a

@@ -4,9 +4,9 @@ open Rbb_core
    re-enter the legitimate band after a §4.1 transient fault?  Theorem 1
    says O(n) rounds w.h.p. from any configuration — including the
    adversarial ones — so recovery-round counts are compared against the
-   bin count.  The measurement is engine-generic (Adversary.driver): the
-   same episode schedule runs on Process or Sharded and, from the same
-   creation rng state, produces identical series. *)
+   bin count.  The measurement is engine-generic (Engine.t): the same
+   episode schedule runs on any engine and, from the same creation rng
+   state, produces identical series within each randomness law. *)
 
 type episode = {
   fault_round : int;  (* completed rounds when the fault was applied *)
@@ -28,43 +28,33 @@ let action_name : Adversary.action -> string = function
   | Reshuffle -> "reshuffle"
   | Rotate k -> Printf.sprintf "rotate(%d)" k
 
-(* Step until max_load <= threshold, at most [cap] rounds; returns the
-   number of rounds taken. *)
-let rounds_to_legit (d : 'a Adversary.driver) ~threshold ~cap engine =
-  if d.max_load engine <= threshold then Some 0
-  else begin
-    let rec go k =
-      if k >= cap then None
-      else begin
-        d.step engine;
-        if d.max_load engine <= threshold then Some (k + 1) else go (k + 1)
-      end
-    in
-    go 0
-  end
-
-let measure ?(beta = 4.0) ~(driver : 'a Adversary.driver) ~action ~episodes
-    ~max_recovery engine =
+let measure ?(beta = 4.0) ~action ~episodes ~max_recovery engine =
   if episodes < 1 then invalid_arg "Recovery.measure: episodes < 1";
   if max_recovery < 1 then invalid_arg "Recovery.measure: max_recovery < 1";
-  let n = driver.n engine in
   (* The threshold must reflect the engine's actual ball count: with
      m ≫ n the max load can never drop below ⌈m/n⌉, so an n-only
      threshold would make every episode falsely report failure. *)
-  let m = Config.balls (driver.config engine) in
-  let threshold = Config.legitimacy_threshold ~beta ~m n in
+  let threshold =
+    Config.legitimacy_threshold ~beta ~m:(Engine.balls engine) (Engine.n engine)
+  in
+  (* Rounds until max_load <= threshold, at most [max_recovery]. *)
+  let rounds_to_legit () =
+    let r0 = Engine.round engine in
+    Option.map
+      (fun r -> r - r0)
+      (Engine.run_until engine ~max_rounds:max_recovery ~stop:(fun e ->
+           Engine.max_load e <= threshold))
+  in
   (* Settle into the legitimate band first, so every episode starts from
      a legitimate configuration and measures pure fault recovery. *)
-  ignore (rounds_to_legit driver ~threshold ~cap:max_recovery engine);
+  ignore (rounds_to_legit ());
   let rounds = ref 0 in
   let eps =
     List.init episodes (fun _ ->
-        driver.set_config engine
-          (Adversary.perturb action (driver.rng engine) (driver.config engine));
-        let spike = driver.max_load engine in
-        let recovered =
-          rounds_to_legit driver ~threshold ~cap:max_recovery engine
-        in
+        Engine.set_config engine
+          (Adversary.perturb action (Engine.rng engine) (Engine.config engine));
+        let spike = Engine.max_load engine in
+        let recovered = rounds_to_legit () in
         (match recovered with
         | Some k -> rounds := !rounds + k
         | None -> rounds := !rounds + max_recovery);
@@ -75,8 +65,8 @@ let measure ?(beta = 4.0) ~(driver : 'a Adversary.driver) ~action ~episodes
         })
   in
   {
-    n;
-    balls = Config.balls (driver.config engine);
+    n = Engine.n engine;
+    balls = Engine.balls engine;
     beta;
     threshold;
     action = action_name action;

@@ -476,27 +476,3 @@ let run t ~rounds =
     if workers t = 1 then run_inline t ~rounds else run_pooled t ~rounds
 
 let step t = run t ~rounds:1
-
-let run_until t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Sharded.run_until: max_rounds < 0";
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
-
-let run_until_legitimate ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
-
-(* The §4.1 adversary, generalized: with the same creation rng object
-   the perturbation draws continue the same stream the sequential
-   engine's would, so faulty trajectories stay engine-independent. *)
-let adversary_driver : t Adversary.driver =
-  { Adversary.step; config; set_config; rng; n; max_load; empty_bins }

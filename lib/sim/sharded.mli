@@ -126,12 +126,6 @@ val run : t -> rounds:int -> unit
     round.
     @raise Invalid_argument if [rounds < 0]. *)
 
-val run_until : t -> max_rounds:int -> stop:(t -> bool) -> int option
-(** Same contract as {!Rbb_core.Process.run_until}.
-    @raise Invalid_argument if [max_rounds < 0]. *)
-
-val run_until_legitimate : ?beta:float -> t -> max_rounds:int -> int option
-
 val round : t -> int
 val n : t -> int
 val balls : t -> int
@@ -176,9 +170,3 @@ val degraded : t -> bool
     the sequential inline path (failpoints are bypassed from then on).
     The trajectory is unaffected — degradation costs parallelism, not
     correctness. *)
-
-val adversary_driver : t Rbb_core.Adversary.driver
-(** Drive this engine under {!Rbb_core.Adversary.run_with_faults_driver}.
-    With the same creation rng state as a {!Rbb_core.Process}, the
-    perturbation draws match draw for draw, so faulty trajectories are
-    engine-independent too. *)

@@ -279,24 +279,3 @@ let run t ~rounds =
     if t.workers = 1 then run_inline t ~rounds else run_pooled t ~rounds
 
 let step t = run t ~rounds:1
-
-let run_until t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Sharded_counts.run_until: max_rounds < 0";
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
-
-let run_until_legitimate ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
-
-let adversary_driver : t Adversary.driver =
-  { Adversary.step; config; set_config; rng; n; max_load; empty_bins }

@@ -81,12 +81,6 @@ val step : t -> unit
 val run : t -> rounds:int -> unit
 (** @raise Invalid_argument if [rounds < 0]. *)
 
-val run_until : t -> max_rounds:int -> stop:(t -> bool) -> int option
-(** Same contract as {!Rbb_core.Process.run_until}.
-    @raise Invalid_argument if [max_rounds < 0]. *)
-
-val run_until_legitimate : ?beta:float -> t -> max_rounds:int -> int option
-
 val round : t -> int
 val n : t -> int
 val balls : t -> int
@@ -111,9 +105,3 @@ val capacity : t -> int
 
 val telemetry : t -> Telemetry.t
 (** The attached telemetry sink ({!Telemetry.noop} when none). *)
-
-val adversary_driver : t Rbb_core.Adversary.driver
-(** Drive this engine under
-    {!Rbb_core.Adversary.run_with_faults_driver}; with the same
-    creation rng state as a {!Rbb_core.Counts_process} the perturbation
-    draws match draw for draw. *)

@@ -309,9 +309,11 @@ let process_run_until_immediate () =
   let rng = Tutil.rng () in
   let p = Process.create ~rng ~init:(Config.uniform ~n:16) () in
   Alcotest.(check (option int)) "already satisfied" (Some 0)
-    (Process.run_until p ~max_rounds:5 ~stop:(fun _ -> true));
+    (Engine.run_until (Engine.T ((module Process), p)) ~max_rounds:5
+       ~stop:(fun _ -> true));
   Alcotest.(check (option int)) "never satisfied" None
-    (Process.run_until p ~max_rounds:5 ~stop:(fun _ -> false))
+    (Engine.run_until (Engine.T ((module Process), p)) ~max_rounds:5
+       ~stop:(fun _ -> false))
 
 let process_rounds_validation () =
   (* Regression: negative round counts used to be silent no-ops. *)
@@ -320,7 +322,9 @@ let process_rounds_validation () =
   Tutil.check_raises_invalid "run rounds < 0" (fun () ->
       Process.run p ~rounds:(-1));
   Tutil.check_raises_invalid "run_until max_rounds < 0" (fun () ->
-      ignore (Process.run_until p ~max_rounds:(-3) ~stop:(fun _ -> true)));
+      ignore
+        (Engine.run_until (Engine.T ((module Process), p)) ~max_rounds:(-3)
+           ~stop:(fun _ -> true)));
   let p = mk () in
   let before = Process.config p in
   Process.run p ~rounds:0;

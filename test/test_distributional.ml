@@ -427,12 +427,12 @@ let prop_counts_checkpoint_resume_exact =
       let c = Counts_process.create ~rng ~init:(Config.uniform ~n) () in
       Counts_process.run c ~rounds:t1;
       let snap = Rbb_sim.Checkpoint.capture_counts c in
-      let resumed = Rbb_sim.Checkpoint.to_counts snap in
+      let resumed = Tutil.restore Rbb_sim.Engine.Counts Rbb_sim.Engine.Sequential snap in
       Counts_process.run c ~rounds:t2;
-      Counts_process.run resumed ~rounds:t2;
-      sum_loads_counts resumed = n
-      && Config.equal (Counts_process.config c) (Counts_process.config resumed)
-      && Counts_process.round resumed = t1 + t2)
+      Engine.run resumed ~rounds:t2;
+      Config.balls (Engine.config resumed) = n
+      && Config.equal (Counts_process.config c) (Engine.config resumed)
+      && Engine.round resumed = t1 + t2)
 
 let prop_sharded_counts_matches_sequential =
   Tutil.prop "sharded counts engine is bit-identical" ~count:20

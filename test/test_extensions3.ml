@@ -286,7 +286,10 @@ let hitting_matches_simulation () =
   let w = Rbb_stats.Welford.create () in
   for _ = 1 to 20_000 do
     let p = Process.create ~rng ~init:(Config.all_in_one ~n ~m:n ()) () in
-    match Process.run_until p ~max_rounds:10_000 ~stop:(fun p -> Process.max_load p <= threshold) with
+    match
+      Engine.run_until (Engine.T ((module Process), p)) ~max_rounds:10_000
+        ~stop:(fun e -> Engine.max_load e <= threshold)
+    with
     | Some r -> Rbb_stats.Welford.add w (float_of_int r)
     | None -> Alcotest.fail "simulation never hit the target"
   done;

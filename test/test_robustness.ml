@@ -264,19 +264,19 @@ let resume_process_golden () =
   Checkpoint.save ~path (Checkpoint.capture_process part);
   let resumed =
     match Checkpoint.load ~path () with
-    | Ok snap -> Checkpoint.to_process snap
+    | Ok snap -> Tutil.restore Checkpoint.Balls Rbb_sim.Engine.Sequential snap
     | Error e -> Alcotest.failf "load: %s" e
   in
-  Process.run resumed ~rounds:(total - k);
+  Engine.run resumed ~rounds:(total - k);
   Alcotest.(check bool) "config bit-identical" true
-    (Config.equal (Process.config full) (Process.config resumed));
-  Alcotest.(check int) "round" total (Process.round resumed);
-  Alcotest.(check int) "max_load" (Process.max_load full) (Process.max_load resumed);
+    (Config.equal (Process.config full) (Engine.config resumed));
+  Alcotest.(check int) "round" total (Engine.round resumed);
+  Alcotest.(check int) "max_load" (Process.max_load full) (Engine.max_load resumed);
   (* The creation stream resumes mid-sequence too: future adversary
      draws agree. *)
   Alcotest.(check int) "continued rng draw"
     (Rbb_prng.Rng.int_below (Process.rng full) 1_000_000)
-    (Rbb_prng.Rng.int_below (Process.rng resumed) 1_000_000)
+    (Rbb_prng.Rng.int_below (Engine.rng resumed) 1_000_000)
 
 let resume_sharded_golden () =
   let n = 9_000 and k = 11 and total = 29 in
@@ -299,17 +299,19 @@ let resume_sharded_golden () =
   in
   (* Resume with a different worker geometry: results never depend on
      shards/domains. *)
-  let resumed = Checkpoint.to_sharded ~shards:3 ~domains:1 snap in
-  Sharded.run resumed ~rounds:(total - k);
+  let resumed =
+    Tutil.restore Checkpoint.Balls (Tutil.parallel ~shards:3 1) snap
+  in
+  Engine.run resumed ~rounds:(total - k);
   Alcotest.(check bool) "config bit-identical" true
-    (Config.equal (Sharded.config full) (Sharded.config resumed));
-  Alcotest.(check int) "round" total (Sharded.round resumed);
+    (Config.equal (Sharded.config full) (Engine.config resumed));
+  Alcotest.(check int) "round" total (Engine.round resumed);
   (* Cross-engine: the same checkpoint resumed on the sequential engine
      lands on the same configuration. *)
-  let cross = Checkpoint.to_process snap in
-  Process.run cross ~rounds:(total - k);
+  let cross = Tutil.restore Checkpoint.Balls Rbb_sim.Engine.Sequential snap in
+  Engine.run cross ~rounds:(total - k);
   Alcotest.(check bool) "cross-engine resume" true
-    (Config.equal (Sharded.config full) (Process.config cross))
+    (Config.equal (Sharded.config full) (Engine.config cross))
 
 (* QCheck: the resume law holds for arbitrary (n, split, seed) on both
    engines, through a real file round-trip. *)
@@ -333,11 +335,11 @@ let prop_resume_bit_identical (n, k1, k2, seed) =
       Checkpoint.save ~path (Checkpoint.capture_process part);
       let resumed =
         match Checkpoint.load ~path () with
-        | Ok snap -> Checkpoint.to_process snap
+        | Ok snap -> Tutil.restore Checkpoint.Balls Rbb_sim.Engine.Sequential snap
         | Error e -> failwith e
       in
-      Process.run resumed ~rounds:k2;
-      let seq_ok = Config.equal (Process.config full) (Process.config resumed) in
+      Engine.run resumed ~rounds:k2;
+      let seq_ok = Config.equal (Process.config full) (Engine.config resumed) in
       (* Sharded engine (inline worker: geometry never matters). *)
       let spart =
         Sharded.create ~shards:2 ~domains:1 ~rng:(mk_rng seed)
@@ -347,11 +349,11 @@ let prop_resume_bit_identical (n, k1, k2, seed) =
       Checkpoint.save ~path (Checkpoint.capture_sharded spart);
       let sresumed =
         match Checkpoint.load ~path () with
-        | Ok snap -> Checkpoint.to_sharded ~shards:3 ~domains:1 snap
+        | Ok snap -> Tutil.restore Checkpoint.Balls (Tutil.parallel ~shards:3 1) snap
         | Error e -> failwith e
       in
-      Sharded.run sresumed ~rounds:k2;
-      let sh_ok = Config.equal (Process.config full) (Sharded.config sresumed) in
+      Engine.run sresumed ~rounds:k2;
+      let sh_ok = Config.equal (Process.config full) (Engine.config sresumed) in
       seq_ok && sh_ok)
 
 (* ------------------------------------------------------------------ *)
@@ -621,14 +623,15 @@ let truncated_trace_tolerated () =
 
 let recovery_measures_relegitimacy () =
   let n = 128 in
-  let measure driver engine =
-    Rbb_sim.Recovery.measure ~driver ~action:(Adversary.Pile_into 0) ~episodes:2
+  let measure engine =
+    Rbb_sim.Recovery.measure ~action:(Adversary.Pile_into 0) ~episodes:2
       ~max_recovery:(100 * n) engine
   in
-  let r =
-    measure Adversary.process_driver
-      (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ())
+  let process () =
+    Engine.T
+      ((module Process), Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ())
   in
+  let r = measure (process ()) in
   Alcotest.(check int) "n" n r.Rbb_sim.Recovery.n;
   Alcotest.(check string) "action" "pile_into(0)" r.action;
   Alcotest.(check int) "episodes" 2 (List.length r.episodes);
@@ -639,12 +642,14 @@ let recovery_measures_relegitimacy () =
       | Some k -> Alcotest.(check bool) "recovers in O(n)" true (k < 100 * n)
       | None -> Alcotest.fail "episode did not recover")
     r.episodes;
-  (* Engine-generic: the sharded driver reproduces the series byte for
+  (* Engine-generic: the sharded engine reproduces the series byte for
      byte. *)
   let r' =
-    measure Sharded.adversary_driver
-      (Sharded.create ~shards:2 ~domains:1 ~rng:(mk_rng 9L)
-         ~init:(Config.uniform ~n) ())
+    measure
+      (Engine.T
+         ( (module Sharded),
+           Sharded.create ~shards:2 ~domains:1 ~rng:(mk_rng 9L)
+             ~init:(Config.uniform ~n) () ))
   in
   Alcotest.(check string) "engine-identical JSON"
     (Rbb_sim.Recovery.to_json r)
@@ -652,12 +657,9 @@ let recovery_measures_relegitimacy () =
   Alcotest.(check bool) "json has schema" true
     (Tutil.contains_substring (Rbb_sim.Recovery.to_json r) "rbb.recovery/1");
   Tutil.check_raises_invalid "episodes < 1" (fun () ->
-      measure Adversary.process_driver
-        (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ())
-      |> ignore;
-      Rbb_sim.Recovery.measure ~driver:Adversary.process_driver
-        ~action:Adversary.Reshuffle ~episodes:0 ~max_recovery:10
-        (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ()))
+      measure (process ()) |> ignore;
+      Rbb_sim.Recovery.measure ~action:Adversary.Reshuffle ~episodes:0
+        ~max_recovery:10 (process ()))
 
 (* Regression for the m = n lock-in: Recovery.measure used to derive
    its legitimacy threshold from n alone, so with m ≫ n every episode
@@ -682,9 +684,11 @@ let recovery_threshold_is_m_aware () =
      legitimate: a uniform throw of m balls sits well inside the
      ⌈4 (m/n) ln n⌉ band. *)
   let r =
-    Rbb_sim.Recovery.measure ~driver:Adversary.process_driver
-      ~action:Adversary.Reshuffle ~episodes:2 ~max_recovery:(100 * n)
-      (Process.create ~rng:(mk_rng 21L) ~init:(Config.balanced ~n ~m) ())
+    Rbb_sim.Recovery.measure ~action:Adversary.Reshuffle ~episodes:2
+      ~max_recovery:(100 * n)
+      (Engine.T
+         ( (module Process),
+           Process.create ~rng:(mk_rng 21L) ~init:(Config.balanced ~n ~m) () ))
   in
   Alcotest.(check int) "record carries m" m r.Rbb_sim.Recovery.balls;
   Alcotest.(check int) "record carries the m-aware threshold" threshold
@@ -701,10 +705,12 @@ let recovery_threshold_is_m_aware () =
      the test fast. *)
   let n = 16 and m = 256 in
   let r =
-    Rbb_sim.Recovery.measure ~driver:Counts_process.adversary_driver
-      ~action:(Adversary.Pile_into 0) ~episodes:1
+    Rbb_sim.Recovery.measure ~action:(Adversary.Pile_into 0) ~episodes:1
       ~max_recovery:(100 * Stdlib.max n m)
-      (Counts_process.create ~rng:(mk_rng 22L) ~init:(Config.balanced ~n ~m) ())
+      (Engine.T
+         ( (module Counts_process),
+           Counts_process.create ~rng:(mk_rng 22L) ~init:(Config.balanced ~n ~m)
+             () ))
   in
   List.iter
     (fun (e : Rbb_sim.Recovery.episode) ->

@@ -56,3 +56,21 @@ let slow name f = Alcotest.test_case name `Slow f
 
 let prop name ?(count = 200) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
+
+(* Rebuild an engine from a checkpoint through the engine table, with
+   inert telemetry and tracing. *)
+let restore kind variant snap =
+  Rbb_sim.Engine.core
+    ((Rbb_sim.Engine.entry kind variant).restore ~telemetry:Rbb_sim.Telemetry.noop
+       ~tracer:Rbb_sim.Tracer.noop snap)
+
+(* The parallel variant with [shards] scheduling shards over [domains]
+   workers and no failpoints or supervisor. *)
+let parallel ?(shards = 1) domains =
+  Rbb_sim.Engine.Parallel
+    {
+      shards;
+      domains;
+      failpoints = Rbb_sim.Failpoint.noop;
+      supervisor = Rbb_sim.Supervisor.noop;
+    }
