@@ -102,7 +102,7 @@ let engine_t =
   let doc =
     "Round kernel: $(b,balls) (per-ball sampling; supports -d and \
      failpoints) or $(b,counts) (per-block count sampling — same law, \
-     an order of magnitude faster at large n; uniform re-assignment \
+     several times faster at large n; uniform re-assignment \
      only).  Defaults to $(b,balls), or to the engine recorded in the \
      checkpoint when resuming."
   in

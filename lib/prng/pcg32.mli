@@ -6,7 +6,8 @@
     sampler-independence ablation in DESIGN.md §7). *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the state word and the stream's increment,
+    both unboxed. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] builds a generator on the default stream. *)
@@ -33,6 +34,10 @@ val next_u32 : t -> int32
 
 val next_u64 : t -> int64
 (** [next_u64 g] concatenates two 32-bit outputs into 64 random bits. *)
+
+val next_bits : t -> int
+(** [next_bits g] advances [g] like {!next_u64} and returns that word as
+    an unboxed native int, laid out as {!Xoshiro256.next_bits}. *)
 
 val fill_int62 : t -> int array -> pos:int -> len:int -> unit
 (** [fill_int62 g a ~pos ~len] stores the low 62 bits of [len]

@@ -73,23 +73,38 @@ let split t =
       let child_seed = Splitmix64.mix (next_u64 t) in
       create ~engine:t.engine ~seed:child_seed ()
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (next_u64 t) 34)
+(* One word as an unboxed native int, laid out as
+   [Xoshiro256.next_bits]: [lsr 1] gives its top 62 bits, [land 1] its
+   low bit.  Each derived draw below is defined on the bits of the word
+   [next_u64] would return, so it consumes and returns exactly what the
+   same rule applied to [next_u64] would (the known-answer tests pin
+   this). *)
+let[@inline] next_bits t =
+  match t.state with
+  | Sx g -> Xoshiro256.next_bits g
+  | Sp g -> Pcg32.next_bits g
+  | Ss g -> Splitmix64.next_bits g
+
+let bits30 t = next_bits t lsr 33
 
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: bound must be positive";
   if n = 1 then 0
   else begin
-    (* Smallest all-ones mask covering [n - 1], then rejection: unbiased
-       and at most one expected retry. *)
+    (* Smallest all-ones mask covering [n - 1], then rejection on the
+       word's top 62 bits: unbiased and at most one expected retry. *)
     let m = n - 1 in
-    let mask = ref m in
-    List.iter (fun s -> mask := !mask lor (!mask lsr s)) [ 1; 2; 4; 8; 16; 32 ];
-    let mask = !mask in
-    let rec draw () =
-      let v = Int64.to_int (Int64.shift_right_logical (next_u64 t) 2) land mask in
-      if v < n then v else draw ()
-    in
-    draw ()
+    let m = m lor (m lsr 1) in
+    let m = m lor (m lsr 2) in
+    let m = m lor (m lsr 4) in
+    let m = m lor (m lsr 8) in
+    let m = m lor (m lsr 16) in
+    let mask = m lor (m lsr 32) in
+    let v = ref ((next_bits t lsr 1) land mask) in
+    while !v >= n do
+      v := (next_bits t lsr 1) land mask
+    done;
+    !v
   end
 
 let int_in_range t ~lo ~hi =
@@ -98,10 +113,9 @@ let int_in_range t ~lo ~hi =
 
 let float_unit t =
   (* 53 high bits of the draw, scaled by 2^-53: uniform on [0,1). *)
-  let bits = Int64.shift_right_logical (next_u64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
+  float_of_int (next_bits t lsr 10) *. 0x1p-53
 
-let bool t = Int64.logand (next_u64 t) 1L = 1L
+let bool t = next_bits t land 1 = 1
 
 let engine_name = function
   | Xoshiro -> "xoshiro256**"

@@ -62,9 +62,8 @@ val fill_int62 : t -> int array -> pos:int -> len:int -> unit
 (** [fill_int62 t a ~pos ~len] stores the low 62 bits of [len]
     successive {!next_u64} draws into [a.(pos) .. a.(pos+len-1)] as
     non-negative native ints.  The batched fill is bit-compatible with a
-    [next_u64] loop on every engine but roughly an order of magnitude
-    faster, which is what makes the count-based round kernel
-    ({!Multinomial}) viable.
+    [next_u64] loop on every engine and allocates nothing; it is the draw
+    path of the count-based round kernel ({!Multinomial}).
     @raise Invalid_argument if the range is out of bounds. *)
 
 val bits30 : t -> int

@@ -7,7 +7,7 @@
     family. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: one unboxed 64-bit word. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] builds a generator; equal seeds give equal streams. *)
@@ -25,6 +25,10 @@ val of_state : int64 array -> t
 
 val next_u64 : t -> int64
 (** [next_u64 g] advances [g] and returns 64 uniformly random bits. *)
+
+val next_bits : t -> int
+(** [next_bits g] advances [g] like {!next_u64} and returns that word as
+    an unboxed native int, laid out as {!Xoshiro256.next_bits}. *)
 
 val fill_int62 : t -> int array -> pos:int -> len:int -> unit
 (** [fill_int62 g a ~pos ~len] stores the low 62 bits of [len]

@@ -271,6 +271,23 @@ let process_empty_system () =
   Alcotest.(check int) "stays empty" 0 (Process.max_load p);
   Alcotest.(check int) "all empty" 3 (Process.empty_bins p)
 
+(* The launch draws every ball's destination without allocating, so a
+   round's allocation is a per-shard constant (each shard derives its own
+   stream) with no per-ball term: at most 64 words per shard. *)
+let process_round_allocation d () =
+  let n = 1 lsl 16 and rounds = 8 in
+  let p =
+    Process.create ~d_choices:d ~rng:(Tutil.rng ()) ~init:(Config.uniform ~n) ()
+  in
+  Process.step p;
+  let w0 = Gc.minor_words () in
+  Process.run p ~rounds;
+  let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  let budget = 64 * Process.shard_count ~bins:n in
+  if per_round > float_of_int budget then
+    Alcotest.failf "d = %d: %.0f minor words per round, budget %d" d per_round
+      budget
+
 let process_converges_from_worst () =
   let rng = Tutil.rng () in
   let n = 256 in
@@ -894,6 +911,8 @@ let suite =
         Tutil.slow "two-choices helps" process_d_choices_helps;
         Tutil.quick "set_config" process_set_config;
         Tutil.quick "invalid d" process_invalid_d;
+        Tutil.quick "round allocation, d = 1" (process_round_allocation 1);
+        Tutil.quick "round allocation, d = 2" (process_round_allocation 2);
         prop_process_conservation;
       ] );
     ( "core.tetris",

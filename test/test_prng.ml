@@ -525,6 +525,276 @@ let fill_edge_cases () =
       Rng.fill_int62 g buf ~pos:2 ~len:3)
 
 (* ------------------------------------------------------------------ *)
+(* Known-answer vectors                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every trajectory, checkpoint and golden depends on these exact
+   outputs, so a change to a generator's state layout or to how the
+   derived draws are computed must reproduce them bit for bit.  [seed0]
+   and [seed42] are the family module's own first words; every other
+   sequence comes from a fresh [Rng.create ~engine ~seed:42L ()] and is
+   paired with the raw word that follows it, which pins how many words
+   the sequence consumed (int_below rejects, 2^20 + 1 about half the
+   time). *)
+type kat = {
+  engine : Rng.engine;
+  seed0 : int64 array;
+  seed42 : int64 array;
+  split_child : int64 array;  (** first words of [Rng.split]'s child *)
+  split_parent : int64;  (** the parent's next word after the split *)
+  below_3 : int array * int64;
+  below_1m : int array * int64;
+  below_2p20p1 : int array * int64;
+  bits30 : int array * int64;
+  float_unit : float array * int64;
+  bool : string * int64;  (** ['1'] for [true] *)
+}
+
+let kat_xoshiro =
+  {
+    engine = Rng.Xoshiro;
+    seed0 =
+      [|
+        0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L;
+        0x6AA594F1262D2D2CL; 0xBBA5AD4A1F842E59L; 0xFFEF8375D9EBCACAL;
+        0x6C160DEED2F54C98L; 0x8920AD648FC30A3FL
+      |];
+    seed42 =
+      [|
+        0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L;
+        0xECB8AD4703B360A1L; 0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L;
+        0xB82154855A65DDB2L; 0xD99A2743EBE60087L
+      |];
+    split_child =
+      [|
+        0x50086EF83CBF4F4AL; 0xBA285EC21347D703L; 0x5EA1247B4DC6452AL;
+        0x03A5C66424702131L
+      |];
+    split_parent = 0x6104D9866D113A7EL;
+    below_3 =
+      ( [|
+          1; 0; 0; 1; 2; 0; 1; 0
+        |],
+        0x4A69DB9873AF8965L );
+    below_1m =
+      ( [|
+          766405; 282271; 599656; 841768;
+          726937; 939150; 620396; 622625
+        |],
+        0xC2E96E726E97647EL );
+    below_2p20p1 =
+      ( [|
+          766405; 282271; 841768; 383263;
+          265820; 778841; 111021; 854480
+        |],
+        0xB60DEC3BF2D887CDL );
+    bits30 =
+      ( [|
+          90047179; 406926945; 730191052; 992881489;
+          1064941343; 826501452; 772298017; 912689616
+        |],
+        0xC2E96E726E97647EL );
+    float_unit =
+      ( [|
+          0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2;
+          0x1.5c2ea66473c93p-1; 0x1.d9715a8e0766cp-1;
+          0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1;
+          0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1
+        |],
+        0xC2E96E726E97647EL );
+    bool = ("0011000101110010", 0x9DE4159EDA9CEF95L);
+  }
+
+let kat_pcg =
+  {
+    engine = Rng.Pcg;
+    seed0 =
+      [|
+        0x0A65CE7D97A1773EL; 0xC03F123AF1654D25L; 0x85A078925A7EB74FL;
+        0xEF042D07FBB59996L; 0x4F46EE50E20ADB34L; 0x7CA56144DBF3B4E7L;
+        0x3BB21CFF81ED0B40L; 0x46A5E0E9068A8DF9L
+      |];
+    seed42 =
+      [|
+        0x713066EA3C7A0D56L; 0xF424216A25C89145L; 0x43E7EF3E90CFF60CL;
+        0x5232059153DFBCB8L; 0x733EBE7C8B7F6978L; 0x45E4322D19844D78L;
+        0x44F942F75F5D4741L; 0x739DCA1CABC02A14L
+      |];
+    split_child =
+      [|
+        0x21874EEFAEA5FFA8L; 0x268650B1E78AFAA6L; 0x3E3F2E2E7072CD2AL;
+        0xC7945B4F688E5A35L
+      |];
+    split_parent = 0xF424216A25C89145L;
+    below_3 =
+      ( [|
+          1; 1; 2; 2; 2; 0; 1; 1
+        |],
+        0x4D65EB204B72BF2AL );
+    below_1m =
+      ( [|
+          951125; 140369; 261507; 519982;
+          70494; 479696; 2693; 501469
+        |],
+        0x4D65EB204B72BF2AL );
+    below_2p20p1 =
+      ( [|
+          70494; 501469; 856963; 915687;
+          170709; 104963; 563541; 516746
+        |],
+        0x27DF1A67F198E360L );
+    bits30 =
+      ( [|
+          474749370; 1024002138; 284818383; 344752484;
+          483372959; 293145739; 289296573; 484930183
+        |],
+        0x99795A22D11E9B76L );
+    float_unit =
+      ( [|
+          0x1.c4c19ba8f1e82p-2; 0x1.e84842d44b912p-1;
+          0x1.0f9fbcfa433fcp-2; 0x1.48c816454f7eep-2;
+          0x1.ccfaf9f22dfdap-2; 0x1.1790c8b466112p-2;
+          0x1.13e50bdd7d75p-2; 0x1.ce772872af00ap-2
+        |],
+        0x99795A22D11E9B76L );
+    bool = ("0100001000000111", 0x4CAD5E1FA0526A61L);
+  }
+
+let kat_splitmix =
+  {
+    engine = Rng.Splitmix;
+    seed0 =
+      [|
+        0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+        0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+        0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL
+      |];
+    seed42 =
+      [|
+        0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+        0x581CE1FF0E4AE394L; 0x09BC585A244823F2L; 0xDE4431FA3C80DB06L;
+        0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L
+      |];
+    split_child =
+      [|
+        0xC5A57E8172F0A9D2L; 0x61B3E514F002FD8BL; 0xB4B2555DC7FCD0AAL;
+        0x9A0499C8CFAE7A8DL
+      |];
+    split_parent = 0x28EFE333B266F103L;
+    below_3 =
+      ( [|
+          1; 0; 0; 1; 0; 1; 1; 1
+        |],
+        0x9E54D738297F77AEL );
+    below_1m =
+      ( [|
+          711589; 638016; 255956; 178405;
+          133372; 14017; 908119; 494569
+        |],
+        0x5705B8770B3D7DD5L );
+    below_2p20p1 =
+      ( [|
+          255956; 14017; 908119; 494569;
+          1007477; 365615; 1020345; 662145
+        |],
+        0xB05ECA1A2972B860L );
+    bits30 =
+      ( [|
+          796249225; 171702476; 299145685; 369571967;
+          40834582; 932252798; 234510791; 859671931
+        |],
+        0x5705B8770B3D7DD5L );
+    float_unit =
+      ( [|
+          0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3;
+          0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
+          0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+          0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1
+        |],
+        0x5705B8770B3D7DD5L );
+    bool = ("1100001010100100", 0x1A83D752F35EBA75L);
+  }
+
+let kat_xoshiro_jump0 =
+  [|
+    0x376215EDC846D62CL; 0x57C0611DE8350CA7L; 0xBC46A3515AFEE385L;
+    0x06C27B341ACA7B26L
+  |]
+
+let raw_words engine ~seed k =
+  match engine with
+  | Rng.Xoshiro ->
+      let g = Xoshiro256.create ~seed in
+      Array.init k (fun _ -> Xoshiro256.next_u64 g)
+  | Rng.Pcg ->
+      let g = Pcg32.create ~seed in
+      Array.init k (fun _ -> Pcg32.next_u64 g)
+  | Rng.Splitmix ->
+      let g = Splitmix64.create ~seed in
+      Array.init k (fun _ -> Splitmix64.next_u64 g)
+
+let kat_raw kat () =
+  Alcotest.(check (array int64)) "seed 0" kat.seed0 (raw_words kat.engine ~seed:0L 8);
+  Alcotest.(check (array int64)) "seed 42" kat.seed42
+    (raw_words kat.engine ~seed:42L 8)
+
+(* [draw] applied [Array.length expect] times to a fresh stream, then the
+   next raw word. *)
+let check_sequence kat name elt draw (expect, next) =
+  let g = Rng.create ~engine:kat.engine ~seed:42L () in
+  let got = Array.map (fun _ -> draw g) expect in
+  Alcotest.(check (array elt)) name expect got;
+  Alcotest.(check int64) (name ^ ": next word") next (Rng.next_u64 g)
+
+let kat_derived kat () =
+  let g = Rng.create ~engine:kat.engine ~seed:42L () in
+  let child = Rng.split g in
+  Alcotest.(check (array int64)) "split child" kat.split_child
+    (Array.map (fun _ -> Rng.next_u64 child) kat.split_child);
+  Alcotest.(check int64) "split parent" kat.split_parent (Rng.next_u64 g);
+  let below n g = Rng.int_below g n in
+  check_sequence kat "int_below 3" Alcotest.int (below 3) kat.below_3;
+  check_sequence kat "int_below 10^6" Alcotest.int (below 1_000_000) kat.below_1m;
+  check_sequence kat "int_below 2^20+1" Alcotest.int
+    (below ((1 lsl 20) + 1))
+    kat.below_2p20p1;
+  check_sequence kat "bits30" Alcotest.int Rng.bits30 kat.bits30;
+  check_sequence kat "float_unit" (Alcotest.float 0.) Rng.float_unit kat.float_unit;
+  let bits, next = kat.bool in
+  check_sequence kat "bool" Alcotest.char
+    (fun g -> if Rng.bool g then '1' else '0')
+    (Array.init (String.length bits) (String.get bits), next)
+
+let kat_xoshiro_jump () =
+  let g = Xoshiro256.create ~seed:0L in
+  Xoshiro256.jump g;
+  Alcotest.(check (array int64)) "seed 0, jumped" kat_xoshiro_jump0
+    (Array.init 4 (fun _ -> Xoshiro256.next_u64 g))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The derived draws read each word unboxed, so 10^5 calls allocate
+   nothing; the slack covers the boxed floats of the [Gc.minor_words]
+   calls themselves. *)
+let draws_allocate_nothing engine () =
+  let g = Rng.create ~engine ~seed:3L () in
+  let check name draw =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      ignore (Sys.opaque_identity (draw g))
+    done;
+    let words = Gc.minor_words () -. w0 in
+    if words > 16. then Alcotest.failf "%s: %.0f minor words" name words
+  in
+  check "int_below 3" (fun g -> Rng.int_below g 3);
+  check "int_below 10^6" (fun g -> Rng.int_below g 1_000_000);
+  check "int_below 2^20+1" (fun g -> Rng.int_below g ((1 lsl 20) + 1));
+  check "bits30" Rng.bits30;
+  check "bool" Rng.bool
+
+(* ------------------------------------------------------------------ *)
 (* Multinomial splitting                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -701,6 +971,24 @@ let suite =
         Tutil.quick "seed sensitivity" xoshiro_seed_sensitivity;
         Tutil.quick "jump disjoint" xoshiro_jump_disjoint;
         Tutil.quick "jump deterministic" xoshiro_jump_deterministic;
+      ] );
+    ( "prng.known_answers",
+      [
+        Tutil.quick "xoshiro raw words" (kat_raw kat_xoshiro);
+        Tutil.quick "xoshiro jump" kat_xoshiro_jump;
+        Tutil.quick "xoshiro derived draws" (kat_derived kat_xoshiro);
+        Tutil.quick "pcg raw words" (kat_raw kat_pcg);
+        Tutil.quick "pcg derived draws" (kat_derived kat_pcg);
+        Tutil.quick "splitmix raw words" (kat_raw kat_splitmix);
+        Tutil.quick "splitmix derived draws" (kat_derived kat_splitmix);
+      ] );
+    ( "prng.allocation",
+      [
+        Tutil.quick "xoshiro draws allocate nothing"
+          (draws_allocate_nothing Rng.Xoshiro);
+        Tutil.quick "pcg draws allocate nothing" (draws_allocate_nothing Rng.Pcg);
+        Tutil.quick "splitmix draws allocate nothing"
+          (draws_allocate_nothing Rng.Splitmix);
       ] );
     ( "prng.pcg32",
       [

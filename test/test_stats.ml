@@ -1,37 +1,6 @@
 open Rbb_stats
 
 (* ------------------------------------------------------------------ *)
-(* Kahan                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let kahan_basic () =
-  let k = Kahan.create () in
-  Kahan.add k 1.;
-  Kahan.add k 2.;
-  Kahan.add k 3.;
-  Tutil.check_close "sum" 6. (Kahan.sum k);
-  Alcotest.(check int) "count" 3 (Kahan.count k);
-  Tutil.check_close "mean" 2. (Kahan.mean k)
-
-let kahan_compensation () =
-  (* 1 + 1e-16 added 10^7 times: naive summation in doubles loses the
-     small terms entirely; compensated summation keeps them. *)
-  let k = Kahan.create () in
-  Kahan.add k 1.;
-  for _ = 1 to 10_000_000 do
-    Kahan.add k 1e-16
-  done;
-  Tutil.check_close ~tol:1e-12 "compensated" (1. +. 1e-9) (Kahan.sum k)
-
-let kahan_empty () =
-  let k = Kahan.create () in
-  Tutil.check_close "empty sum" 0. (Kahan.sum k);
-  Tutil.check_close "empty mean" 0. (Kahan.mean k)
-
-let kahan_sum_array () =
-  Tutil.check_close "array" 10. (Kahan.sum_array [| 1.; 2.; 3.; 4. |])
-
-(* ------------------------------------------------------------------ *)
 (* Welford                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -547,13 +516,6 @@ let prop_gof_chi2_cdf_monotone =
 
 let suite =
   [
-    ( "stats.kahan",
-      [
-        Tutil.quick "basic" kahan_basic;
-        Tutil.slow "compensation" kahan_compensation;
-        Tutil.quick "empty" kahan_empty;
-        Tutil.quick "sum_array" kahan_sum_array;
-      ] );
     ( "stats.welford",
       [
         Tutil.quick "known values" welford_known_values;
