@@ -9,7 +9,7 @@
    equivalence gate lives in test/test_distributional.ml.  The counts
    engine gets proportionally more rounds: it is the one whose
    per-round cost we are resolving, and the balls engine's cost per
-   round is ~5x larger. *)
+   round is 2-3x larger. *)
 
 open Rbb_core
 

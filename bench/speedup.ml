@@ -5,8 +5,9 @@
    bit-identical (they share the randomness law), and records the
    wall-clock ratio to BENCH_sharded_speedup.json so speedups are
    tracked alongside the science.  The headline configuration is
-   n = 10^6, 2000 rounds, 4 domains; `quick` shrinks it for smoke
-   runs. *)
+   n = 10^6, 2000 rounds, 4 shards on at most 4 domains (no more than
+   the host recommends, so a small box is not oversubscribed); `quick`
+   shrinks it for smoke runs. *)
 
 open Rbb_core
 
@@ -20,9 +21,9 @@ let json_path = "BENCH_sharded_speedup.json"
 let run ?(quick = false) () =
   let n = if quick then 100_000 else 1_000_000 in
   let rounds = if quick then 100 else 2_000 in
-  let shards = 4 and domains = 4 in
-  let seed = 2024L in
   let cores = Domain.recommended_domain_count () in
+  let shards = 4 and domains = Stdlib.min 4 cores in
+  let seed = 2024L in
   Printf.printf
     "\n=== SPEEDUP: sequential vs sharded engine (n=%d, rounds=%d, shards=%d, \
      domains=%d, %d cores) ===\n\n"

@@ -102,9 +102,9 @@ let engine_t =
   let doc =
     "Round kernel: $(b,balls) (per-ball sampling; supports -d and \
      failpoints) or $(b,counts) (per-block count sampling — same law, \
-     several times faster at large n; uniform re-assignment \
-     only).  Defaults to $(b,balls), or to the engine recorded in the \
-     checkpoint when resuming."
+     2-3x faster at large n; uniform re-assignment only).  Defaults to \
+     $(b,balls), or to the engine recorded in the checkpoint when \
+     resuming."
   in
   Arg.(value & opt (some engine_conv) None & info [ "engine" ] ~docv:"E" ~doc)
 

@@ -69,6 +69,19 @@ grep -q '"sharded.retries"' "$tracedir/fault.json" \
 cmp -s "$tracedir/fault.ckpt" "$tracedir/clean60.ckpt" \
   || { echo "check.sh: fault-injected trajectory diverged"; exit 1; }
 
+# Multi-block sharded smoke: 10000 bins are three randomness blocks
+# (the last one partial), so the sharded engine's domains launch
+# different blocks of one round concurrently.  Its checkpoint must equal
+# the sequential run's, for the paper's law and for two choices.
+for d in 1 2; do
+  "$rbb" simulate --bins 10000 --rounds 50 --seed 7 -d "$d" \
+    --checkpoint "$tracedir/blocks_seq.ckpt" > /dev/null
+  "$rbb" simulate --bins 10000 --rounds 50 --seed 7 -d "$d" --shards 3 \
+    --domains 2 --checkpoint "$tracedir/blocks_par.ckpt" > /dev/null
+  cmp -s "$tracedir/blocks_seq.ckpt" "$tracedir/blocks_par.ckpt" \
+    || { echo "check.sh: multi-block sharded run diverged (d = $d)"; exit 1; }
+done
+
 # Counts-vs-balls smoke: the count-based kernel must run from the CLI,
 # stay bit-identical between its sequential and sharded variants
 # (checkpoint bytes), resume as the counts engine from its own

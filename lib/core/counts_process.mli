@@ -7,7 +7,7 @@
     in each 4096-bin block (an exact uniform multinomial over blocks,
     drawn by recursive binomial splitting — {!Rbb_prng.Multinomial}),
     then split each block's arrival total down to its bins, then settle.
-    Same per-round load law as {!Process}, about 5x faster at
+    Same per-round load law as {!Process}, 2-3x faster at
     [n = 10^6] (see BENCH_counts_speedup.json).
 
     {2 Randomness law}

@@ -138,14 +138,48 @@ let draw_destination ~rng ~loads ~d ~alias =
 let destination t =
   draw_destination ~rng:t.rng ~loads:t.loads ~d:t.d ~alias:t.weights
 
-let step_launch ~rng ~loads ~arrivals ~capacity ~d ?alias ~lo ~hi () =
-  for u = lo to hi - 1 do
-    let k = Stdlib.min loads.(u) capacity in
-    for _ = 1 to k do
-      let v = draw_destination ~rng ~loads ~d ~alias in
-      arrivals.(v) <- arrivals.(v) + 1
-    done
+(* Per-domain scratch for the launch's draw pass, allocated on a
+   domain's first launch: concurrent launches on different domains
+   never share it. *)
+let launch_scratch = Domain.DLS.new_key (fun () -> Array.make shard_size 0)
+
+let scatter ~arrivals dst len =
+  for i = 0 to len - 1 do
+    let v = Array.unsafe_get dst i in
+    Array.unsafe_set arrivals v (Array.unsafe_get arrivals v + 1)
   done
+
+(* Two passes over a block: the draw pass writes each ball's destination
+   into the scratch, the scatter pass adds them into [arrivals].  The
+   draw loop's branches mispredict on every bin's load; keeping its
+   cache-missing increments out of it lets the scatter loop overlap
+   those misses.  Draws come in the same order from the same stream and
+   read only [loads], so deferring the increments changes no
+   destination and no sum.  A block launching more than [shard_size]
+   balls (capacity > 1) scatters each time the scratch fills. *)
+let step_launch ~rng ~loads ~arrivals ~capacity ~d ?alias ~lo ~hi () =
+  let bins = Array.length loads in
+  if lo < 0 || hi < lo || hi > bins || Array.length arrivals < bins then
+    invalid_arg "Process.step_launch: slice out of bounds";
+  (match alias with
+   | Some a when Rbb_prng.Alias.size a > bins ->
+       invalid_arg "Process.step_launch: alias table larger than loads"
+   | _ -> ());
+  let dst = Domain.DLS.get launch_scratch in
+  let k = ref 0 in
+  for u = lo to hi - 1 do
+    (* Branchless [min load capacity], as in [step_settle_into]. *)
+    let e = Array.unsafe_get loads u - capacity in
+    for _ = 1 to capacity + (e asr 62 land e) do
+      if !k = shard_size then begin
+        scatter ~arrivals dst !k;
+        k := 0
+      end;
+      Array.unsafe_set dst !k (draw_destination ~rng ~loads ~d ~alias);
+      incr k
+    done
+  done;
+  scatter ~arrivals dst !k
 
 let step_settle_into ~src ~dst ~arrivals ~capacity ~lo ~hi =
   (* Validate the slice once, then run unchecked: per-element bounds

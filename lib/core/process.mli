@@ -181,7 +181,16 @@ val step_launch :
     destination (destinations range over {e all} bins).  Reads [loads]
     without mutating it; all randomness comes from [rng], which must be
     the {!Rbb_prng.Stream.for_shard} stream of this round and shard for
-    engines that want reproducibility. *)
+    engines that want reproducibility.
+
+    The destinations are drawn first into a per-domain scratch buffer
+    and then added into [arrivals]; [arrivals] ends up exactly as if
+    each ball were added as it is drawn.  Calls may run on several
+    domains at once, each over its own blocks and into its own
+    [arrivals]: every domain has its own scratch.
+    @raise Invalid_argument if [lo < 0], [hi < lo],
+    [hi > Array.length loads], [arrivals] is shorter than [loads], or
+    [alias] has more categories than [loads] has bins. *)
 
 val step_settle :
   loads:int array -> arrivals:int array -> capacity:int -> lo:int -> hi:int ->

@@ -273,20 +273,163 @@ let process_empty_system () =
 
 (* The launch draws every ball's destination without allocating, so a
    round's allocation is a per-shard constant (each shard derives its own
-   stream) with no per-ball term: at most 64 words per shard. *)
-let process_round_allocation d () =
-  let n = 1 lsl 16 and rounds = 8 in
-  let p =
-    Process.create ~d_choices:d ~rng:(Tutil.rng ()) ~init:(Config.uniform ~n) ()
+   stream) with no per-ball term: at most 64 words per shard.  The
+   2-domain [Sharded] round is counted over every domain: a minor
+   collection folds each domain's allocation into [Gc.quick_stat], and
+   the workers are joined before the count is read. *)
+let round_allocation ~label ~n step_rounds =
+  let rounds = 8 in
+  step_rounds 1;
+  let words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).minor_words
   in
-  Process.step p;
-  let w0 = Gc.minor_words () in
-  Process.run p ~rounds;
-  let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  let w0 = words () in
+  step_rounds rounds;
+  let per_round = (words () -. w0) /. float_of_int rounds in
   let budget = 64 * Process.shard_count ~bins:n in
   if per_round > float_of_int budget then
-    Alcotest.failf "d = %d: %.0f minor words per round, budget %d" d per_round
+    Alcotest.failf "%s: %.0f minor words per round, budget %d" label per_round
       budget
+
+let process_round_allocation ~d ~capacity () =
+  let n = 1 lsl 16 in
+  let p =
+    Process.create ~d_choices:d ~capacity ~rng:(Tutil.rng ())
+      ~init:(Config.random (Tutil.rng ()) ~n ~m:(2 * n)) ()
+  in
+  round_allocation
+    ~label:(Printf.sprintf "d = %d, capacity = %d" d capacity)
+    ~n
+    (fun rounds -> Process.run p ~rounds)
+
+let sharded_round_allocation () =
+  let n = 1 lsl 16 in
+  let s =
+    Rbb_sim.Sharded.create ~shards:4 ~domains:2 ~rng:(Tutil.rng ())
+      ~init:(Config.uniform ~n) ()
+  in
+  round_allocation ~label:"sharded, 2 domains" ~n (fun rounds ->
+      Rbb_sim.Sharded.run s ~rounds)
+
+(* The launch kernel as a plain per-ball loop: each destination is added
+   to [arrivals] as soon as it is drawn.  The oracle for
+   [Process.step_launch], which defers the increments. *)
+let reference_launch ~rng ~loads ~arrivals ~capacity ~d ?alias ~lo ~hi () =
+  let bins = Array.length loads in
+  for u = lo to hi - 1 do
+    for _ = 1 to Stdlib.min loads.(u) capacity do
+      let v =
+        match alias with
+        | Some a -> Rbb_prng.Alias.draw a rng
+        | None ->
+            let best = ref (Rbb_prng.Rng.int_below rng bins) in
+            for _ = 2 to d do
+              let v = Rbb_prng.Rng.int_below rng bins in
+              if loads.(v) < loads.(!best) then best := v
+            done;
+            !best
+      in
+      arrivals.(v) <- arrivals.(v) + 1
+    done
+  done
+
+(* n = 10 000 bins: two full blocks and a partial one.  m = 4n plus one
+   bin of 7000, so capacity 3 and 5000 launch more balls per block than
+   the kernel's scratch holds. *)
+let launch_loads () =
+  let n = 10_000 in
+  let loads = Config.loads (Config.random (Tutil.rng ()) ~n ~m:(4 * n)) in
+  loads.(4100) <- 7000;
+  loads
+
+let launch_slices =
+  [ (0, 4096); (4096, 8192); (8192, 10_000); (0, 1234); (1234, 9001);
+    (9001, 10_000); (0, 10_000); (5000, 5000) ]
+
+let launch_matches_reference () =
+  let loads = launch_loads () in
+  let bins = Array.length loads in
+  let weights = Array.init bins (fun u -> float_of_int (1 + (u mod 7))) in
+  let alias = Rbb_prng.Alias.create weights in
+  List.iter
+    (fun (d, alias) ->
+      List.iter
+        (fun capacity ->
+          List.iteri
+            (fun i (lo, hi) ->
+              let seed = Int64.of_int (1000 + i) in
+              let r_expect = Tutil.rng ~seed () and r_got = Tutil.rng ~seed () in
+              let expect = Array.make bins 0 and got = Array.make bins 0 in
+              reference_launch ~rng:r_expect ~loads ~arrivals:expect ~capacity
+                ~d ?alias ~lo ~hi ();
+              Process.step_launch ~rng:r_got ~loads ~arrivals:got ~capacity ~d
+                ?alias ~lo ~hi ();
+              let case =
+                Printf.sprintf "d = %d%s, capacity %d, [%d, %d)" d
+                  (if alias = None then "" else " (alias)")
+                  capacity lo hi
+              in
+              Alcotest.(check (array int)) case expect got;
+              Alcotest.(check int64)
+                (case ^ ": stream position")
+                (Rbb_prng.Rng.next_u64 r_expect)
+                (Rbb_prng.Rng.next_u64 r_got))
+            launch_slices)
+        [ 1; 3; 5000 ])
+    [ (1, None); (2, None); (3, None); (1, Some alias) ]
+
+(* Two domains launch different blocks of the same round at the same
+   time, each into its own arrivals; their sum equals the sequential
+   launch of every block. *)
+let launch_two_domains () =
+  let loads = launch_loads () in
+  let bins = Array.length loads in
+  let blocks = Process.shard_count ~bins in
+  let launch launch_fn ~capacity ~arrivals b =
+    let lo, hi = Process.shard_bounds ~bins ~shard:b in
+    let rng = Rbb_prng.Stream.for_shard ~master:99L ~round:3 ~shard:b () in
+    launch_fn ~rng ~loads ~arrivals ~capacity ~d:2 ?alias:None ~lo ~hi ()
+  in
+  List.iter
+    (fun capacity ->
+      let expect = Array.make bins 0 in
+      for b = 0 to blocks - 1 do
+        launch reference_launch ~capacity ~arrivals:expect b
+      done;
+      let worker w () =
+        let arrivals = Array.make bins 0 in
+        for _ = 1 to 4 do
+          Array.fill arrivals 0 bins 0;
+          for b = 0 to blocks - 1 do
+            if b mod 2 = w then
+              launch Process.step_launch ~capacity ~arrivals b
+          done
+        done;
+        arrivals
+      in
+      let d0 = Domain.spawn (worker 0) and d1 = Domain.spawn (worker 1) in
+      let a0 = Domain.join d0 and a1 = Domain.join d1 in
+      Alcotest.(check (array int))
+        (Printf.sprintf "capacity %d" capacity)
+        expect
+        (Array.mapi (fun u x -> x + a1.(u)) a0))
+    [ 1; 5000 ]
+
+let launch_validates_slice () =
+  let loads = Array.make 10 1 in
+  let launch ?alias ?(arrivals = Array.make 10 0) ~lo ~hi () =
+    Process.step_launch ~rng:(Tutil.rng ()) ~loads ~arrivals ~capacity:1 ~d:1
+      ?alias ~lo ~hi ()
+  in
+  Tutil.check_raises_invalid "lo < 0" (fun () -> launch ~lo:(-1) ~hi:5 ());
+  Tutil.check_raises_invalid "hi < lo" (fun () -> launch ~lo:5 ~hi:4 ());
+  Tutil.check_raises_invalid "hi > length loads" (fun () ->
+      launch ~lo:0 ~hi:11 ());
+  Tutil.check_raises_invalid "arrivals shorter than loads" (fun () ->
+      launch ~arrivals:(Array.make 9 0) ~lo:0 ~hi:10 ());
+  Tutil.check_raises_invalid "alias larger than loads" (fun () ->
+      launch ~alias:(Rbb_prng.Alias.create (Array.make 11 1.)) ~lo:0 ~hi:10 ())
 
 let process_converges_from_worst () =
   let rng = Tutil.rng () in
@@ -911,8 +1054,16 @@ let suite =
         Tutil.slow "two-choices helps" process_d_choices_helps;
         Tutil.quick "set_config" process_set_config;
         Tutil.quick "invalid d" process_invalid_d;
-        Tutil.quick "round allocation, d = 1" (process_round_allocation 1);
-        Tutil.quick "round allocation, d = 2" (process_round_allocation 2);
+        Tutil.quick "round allocation, d = 1"
+          (process_round_allocation ~d:1 ~capacity:1);
+        Tutil.quick "round allocation, d = 2"
+          (process_round_allocation ~d:2 ~capacity:1);
+        Tutil.quick "round allocation, capacity 3"
+          (process_round_allocation ~d:1 ~capacity:3);
+        Tutil.quick "round allocation, sharded 2 domains" sharded_round_allocation;
+        Tutil.quick "launch kernel = per-ball reference" launch_matches_reference;
+        Tutil.quick "launch kernel on two domains" launch_two_domains;
+        Tutil.quick "launch kernel slice validation" launch_validates_slice;
         prop_process_conservation;
       ] );
     ( "core.tetris",

@@ -265,53 +265,6 @@ let stopping_invalid_args () =
         (Rbb_sim.Stopping.run_until_precision ~base_seed:1L ~rel_precision:0.1
            ~min_trials:10 ~max_trials:5 (fun _ -> 1.)))
 
-(* ------------------------------------------------------------------ *)
-(* Codec                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let codec_string_roundtrip () =
-  let q = Config.of_array [| 1; 0; 3; 0; 2 |] in
-  let s = Codec.config_to_string q in
-  Alcotest.(check string) "format" "1 0 3 0 2" s;
-  Alcotest.(check bool) "roundtrip" true (Config.equal q (Codec.config_of_string s))
-
-let codec_tolerates_whitespace () =
-  let q = Codec.config_of_string "  2   0  1 " in
-  Alcotest.(check (array int)) "parsed" [| 2; 0; 1 |] (Config.loads q)
-
-let codec_parse_errors () =
-  Tutil.check_raises_invalid "empty" (fun () -> ignore (Codec.config_of_string "  "));
-  Tutil.check_raises_invalid "non-integer" (fun () ->
-      ignore (Codec.config_of_string "1 x 2"));
-  Tutil.check_raises_invalid "negative" (fun () ->
-      ignore (Codec.config_of_string "1 -2"))
-
-let codec_file_roundtrip () =
-  let path = Filename.temp_file "rbb_codec" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let q = Config.random (Tutil.rng ()) ~n:20 ~m:20 in
-      Codec.write_config ~path q;
-      Alcotest.(check bool) "single roundtrip" true
-        (Config.equal q (Codec.read_config ~path));
-      let qs = [ Config.uniform ~n:3; Config.all_in_one ~n:3 ~m:3 () ] in
-      Codec.write_configs ~path qs;
-      let back = Codec.read_configs ~path in
-      Alcotest.(check int) "count" 2 (List.length back);
-      List.iter2
-        (fun a b -> Alcotest.(check bool) "equal" true (Config.equal a b))
-        qs back)
-
-let codec_read_config_multi_line_error () =
-  let path = Filename.temp_file "rbb_codec" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Codec.write_configs ~path [ Config.uniform ~n:2; Config.uniform ~n:2 ];
-      Tutil.check_raises_invalid "two lines" (fun () ->
-          ignore (Codec.read_config ~path)))
-
 let suite =
   [
     ( "markov.token_chain",
@@ -341,13 +294,5 @@ let suite =
         Tutil.quick "noisy needs more" stopping_noisy_needs_more_trials;
         Tutil.quick "hits cap" stopping_hits_cap;
         Tutil.quick "invalid args" stopping_invalid_args;
-      ] );
-    ( "core.codec",
-      [
-        Tutil.quick "string roundtrip" codec_string_roundtrip;
-        Tutil.quick "whitespace" codec_tolerates_whitespace;
-        Tutil.quick "parse errors" codec_parse_errors;
-        Tutil.quick "file roundtrip" codec_file_roundtrip;
-        Tutil.quick "multi-line error" codec_read_config_multi_line_error;
       ] );
   ]
